@@ -32,13 +32,9 @@
 //! cumulative `Ř` vectors are one level-major array
 //! (`r_check[h · n_rms + rm_pos]`), so the downward pass writes each
 //! level contiguously; and the server→RM lookup is a dense `NodeId`-
-//! indexed table instead of a `BTreeMap`. On trees past
-//! [`ControlTree::PAR_MIN_NODES`] nodes the upward fold additionally
-//! fans the per-RA child aggregation out over the vendored `rayon` pool
-//! — results are collected in input order and written back serially, so
-//! the first-wins tie-breaking is bit-identical to the serial pass.
-
-use rayon::prelude::*;
+//! indexed table instead of a `BTreeMap`. The upward fold is one
+//! sequential level-by-level sweep in construction order, so ties
+//! resolve to the first child — deterministically, on any machine.
 
 use scda_simnet::builders::ThreeTierTree;
 use scda_simnet::{LinkId, NodeId};
@@ -262,15 +258,6 @@ impl DirScratch {
     }
 }
 
-/// One RA's child aggregation result (upward pass): best write-path,
-/// read-path and interactive `(R̂, block server)` over its children.
-#[derive(Debug, Clone, Copy)]
-struct ChildFold {
-    down: Option<(f64, NodeId)>,
-    up: Option<(f64, NodeId)>,
-    inter: Option<(f64, NodeId)>,
-}
-
 /// The assembled RM/RA tree. All per-node state lives in index-keyed
 /// columns — see the module docs for the layout.
 pub struct ControlTree {
@@ -330,8 +317,6 @@ pub struct ControlTree {
     /// Rounds executed so far (trace correlation id; also the "has the
     /// first round filled `Ř`?" flag).
     round: u64,
-    /// Node-count threshold for the parallel upward fold.
-    par_min_nodes: usize,
     /// Observability sink (disabled by default).
     obs: scda_obs::Obs,
 }
@@ -372,17 +357,6 @@ pub struct ServerMetrics {
 }
 
 impl ControlTree {
-    /// Node count above which the upward pass fans each wide level's
-    /// child folds out over the `rayon` pool. Sized so the paper's
-    /// 163×10 deployment (≈1800 nodes, ~10² µs rounds) stays serial —
-    /// scoped-thread spawn would cost more than it saves — while 10×
-    /// topologies (10,000+ servers) parallelize.
-    pub const PAR_MIN_NODES: usize = 4096;
-
-    /// Minimum level width worth a parallel fold: narrower levels are
-    /// folded serially even on huge trees (spawn overhead dominates).
-    const PAR_MIN_WIDTH: usize = 64;
-
     /// Build a tree from node specs. `capacity_of` maps a link to its
     /// capacity in **bytes/s**.
     ///
@@ -557,7 +531,6 @@ impl ControlTree {
             level_offsets,
             hmax,
             round: 0,
-            par_min_nodes: Self::PAR_MIN_NODES,
             obs: scda_obs::Obs::disabled(),
         }
     }
@@ -567,13 +540,6 @@ impl ControlTree {
     /// `ctrl.*` metrics.
     pub fn set_obs(&mut self, obs: scda_obs::Obs) {
         self.obs = obs;
-    }
-
-    /// Override the node-count threshold above which the upward fold
-    /// runs in parallel (benchmark/equivalence-test hook; the default is
-    /// [`ControlTree::PAR_MIN_NODES`]).
-    pub fn set_parallel_threshold(&mut self, min_nodes: usize) {
-        self.par_min_nodes = min_nodes;
     }
 
     /// Build the canonical tree for the paper's figure-1/figure-6 topology:
@@ -592,9 +558,8 @@ impl ControlTree {
             up_link: tree.trunk.1,
         });
         let mut agg_spec = Vec::with_capacity(tree.aggs.len());
-        for (a, &(agg_up, agg_down)) in tree.agg_links.iter().enumerate() {
+        for &(agg_up, agg_down) in &tree.agg_links {
             agg_spec.push(specs.len());
-            let _ = a;
             specs.push(NodeSpec {
                 level: 2,
                 parent: Some(0),
@@ -794,31 +759,9 @@ impl ControlTree {
         }
         for h in 1..=self.hmax as usize {
             let (lo, hi) = (self.level_offsets[h], self.level_offsets[h + 1]);
-            let width = hi - lo;
-            if self.levels.len() >= self.par_min_nodes && width >= Self::PAR_MIN_WIDTH {
-                // Parallel subtree fold: each RA's child aggregation is
-                // independent (children live on already-final lower
-                // levels). Results come back in input order and are
-                // written back serially, so the first-wins tie-breaking
-                // below is bit-identical to the serial arm.
-                let folds: Vec<ChildFold> = {
-                    let this: &ControlTree = &*self;
-                    let fold_iter = this.order[lo..hi]
-                        .par_iter()
-                        .map(|&ra| this.fold_children(ra.0));
-                    // scda-analyze: allow(hot-path-transitive-alloc, the parallel fold gathers per-RA results; only taken on ≥PAR_MIN_NODES trees where the round dwarfs one Vec)
-                    fold_iter.collect()
-                };
-                for (k, fold) in folds.into_iter().enumerate() {
-                    let id = self.order[lo + k].0;
-                    self.apply_fold(id, fold);
-                }
-            } else {
-                for i in lo..hi {
-                    let id = self.order[i].0;
-                    let fold = self.fold_children(id);
-                    self.apply_fold(id, fold);
-                }
+            for i in lo..hi {
+                let id = self.order[i].0;
+                self.fold_children(id);
             }
         }
 
@@ -868,11 +811,12 @@ impl ControlTree {
         violations
     }
 
-    /// Gather one RA's child bests (children already evaluated). The
+    /// One RA's upward step (children already evaluated): gather the
+    /// best write-path, read-path and interactive `(R̂, block server)`
+    /// over its children, then write `R̂ʰ = min(best child R̂, Rʰ)`. The
     /// strictly-greater comparisons keep the *first* child in
-    /// construction order on ties — the serial and parallel upward
-    /// passes both rely on this.
-    fn fold_children(&self, id: usize) -> ChildFold {
+    /// construction order on ties.
+    fn fold_children(&mut self, id: usize) {
         let mut best_down: Option<(f64, NodeId)> = None;
         let mut best_up: Option<(f64, NodeId)> = None;
         let mut best_inter: Option<(f64, NodeId)> = None;
@@ -896,38 +840,12 @@ impl ControlTree {
                 }
             }
         }
-        ChildFold {
-            down: best_down,
-            up: best_up,
-            inter: best_inter,
-        }
-    }
-
-    /// Write one RA's fold result back: `R̂ʰ = min(best child R̂, Rʰ)`.
-    fn apply_fold(&mut self, id: usize, fold: ChildFold) {
-        match fold.down {
-            Some((v, bs)) => {
-                self.down.r_hat[id] = v.min(self.down.r_own[id]);
-                self.down.best_bs[id] = Some(bs);
-            }
-            None => {
-                self.down.r_hat[id] = self.down.r_own[id];
-                self.down.best_bs[id] = None;
-            }
-        }
-        match fold.up {
-            Some((v, bs)) => {
-                self.up.r_hat[id] = v.min(self.up.r_own[id]);
-                self.up.best_bs[id] = Some(bs);
-            }
-            None => {
-                self.up.r_hat[id] = self.up.r_own[id];
-                self.up.best_bs[id] = None;
-            }
-        }
-        self.best_inter[id] = fold
-            .inter
-            .map(|(v, bs)| (v.min(self.down.r_own[id]).min(self.up.r_own[id]), bs));
+        let (own_down, own_up) = (self.down.r_own[id], self.up.r_own[id]);
+        self.down.r_hat[id] = best_down.map_or(own_down, |(v, _)| v.min(own_down));
+        self.down.best_bs[id] = best_down.map(|(_, bs)| bs);
+        self.up.r_hat[id] = best_up.map_or(own_up, |(v, _)| v.min(own_up));
+        self.up.best_bs[id] = best_up.map(|(_, bs)| bs);
+        self.best_inter[id] = best_inter.map(|(v, bs)| (v.min(own_down).min(own_up), bs));
     }
 
     /// Flush one observed round into the trace ring and metrics registry:
@@ -1682,11 +1600,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_fold_is_bit_identical_to_serial() {
-        // A tree wide enough for the parallel arm (level-1 width ≥
-        // PAR_MIN_WIDTH), driven by skewed telemetry so ties and
-        // near-ties exercise the first-wins merge. The parallel twin
-        // must reproduce the serial results bit for bit.
+    fn fold_ties_resolve_to_first_server_in_construction_order() {
+        // A wide tree (100 racks × 2 servers) under symmetric telemetry:
+        // every link reports the same load and links on one level share a
+        // capacity, so every child rate ties at every RA. The strictly-
+        // greater fold must keep the first child each time, which
+        // surfaces the first server built.
         let cfg = ThreeTierConfig {
             racks: 100,
             servers_per_rack: 2,
@@ -1694,13 +1613,13 @@ mod tests {
             clients: 4,
             ..Default::default()
         };
-        struct Mixed;
-        impl Telemetry for Mixed {
-            fn sample(&mut self, l: LinkId) -> LinkSample {
+        struct Uniform;
+        impl Telemetry for Uniform {
+            fn sample(&mut self, _l: LinkId) -> LinkSample {
                 LinkSample {
-                    queue_bytes: (l.0 % 11) as f64 * 2e4,
-                    flow_rate_sum: (l.0 % 17) as f64 * 2e6,
-                    arrival_rate: (l.0 % 17) as f64 * 2e6,
+                    queue_bytes: 2e4,
+                    flow_rate_sum: 2e6,
+                    arrival_rate: 2e6,
                 }
             }
             fn rate_caps(&mut self, _s: NodeId) -> RateCaps {
@@ -1708,38 +1627,28 @@ mod tests {
             }
         }
         let tree = cfg.build();
-        let mut serial = ControlTree::from_three_tier(&tree, Params::default(), MetricKind::Full);
-        let mut parallel = ControlTree::from_three_tier(&tree, Params::default(), MetricKind::Full);
-        serial.set_parallel_threshold(usize::MAX);
-        parallel.set_parallel_threshold(0);
+        let mut ct = ControlTree::from_three_tier(&tree, Params::default(), MetricKind::Full);
         for i in 0..6 {
-            let now = i as f64 * 0.05;
-            let vs = serial.control_round(now, &mut Mixed);
-            let vp = parallel.control_round(now, &mut Mixed);
-            assert_eq!(vs.len(), vp.len(), "round {i}: violation counts");
+            ct.control_round(i as f64 * 0.05, &mut Uniform);
         }
-        let (ms, mp) = (metrics_of(&serial), metrics_of(&parallel));
-        assert_eq!(ms.len(), mp.len());
-        for (a, b) in ms.iter().zip(&mp) {
-            assert_eq!(a.server, b.server);
-            assert_eq!(a.r0_down.to_bits(), b.r0_down.to_bits());
-            assert_eq!(a.r0_up.to_bits(), b.r0_up.to_bits());
-            assert_eq!(a.path_down.to_bits(), b.path_down.to_bits());
-            assert_eq!(a.path_up.to_bits(), b.path_up.to_bits());
-            for h in 0..MAX_LEVELS {
-                assert_eq!(a.down_levels[h].to_bits(), b.down_levels[h].to_bits());
-                assert_eq!(a.up_levels[h].to_bits(), b.up_levels[h].to_bits());
-            }
-        }
+        let ms = metrics_of(&ct);
+        assert_eq!(ms.len(), 200);
+        assert!(
+            ms.iter()
+                .all(|m| m.r0_down.to_bits() == ms[0].r0_down.to_bits()
+                    && m.r0_up.to_bits() == ms[0].r0_up.to_bits()),
+            "symmetric telemetry must make every server rate tie"
+        );
+        let first = tree.servers[0][0];
         assert_eq!(
-            serial.best_server_global(Direction::Down),
-            parallel.best_server_global(Direction::Down),
-            "first-wins tie-breaking must survive the parallel fold"
+            ct.best_server_global(Direction::Down).map(|b| b.0),
+            Some(first)
         );
         assert_eq!(
-            serial.best_server_interactive(),
-            parallel.best_server_interactive()
+            ct.best_server_global(Direction::Up).map(|b| b.0),
+            Some(first)
         );
+        assert_eq!(ct.best_server_interactive().map(|b| b.0), Some(first));
     }
 
     #[test]

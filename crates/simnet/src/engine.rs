@@ -46,13 +46,6 @@ pub fn run_until<S: Simulation>(
     processed
 }
 
-/// Drain every pending event (the queue must eventually empty; a simulation
-/// that perpetually reschedules itself will loop forever — use
-/// [`run_until`] for those).
-pub fn run_to_completion<S: Simulation>(sim: &mut S, sched: &mut Scheduler<S::Event>) -> u64 {
-    run_until(sim, sched, f64::INFINITY)
-}
-
 /// [`run_until`] with dispatch accounting: the drain itself is untouched
 /// (the hot loop pays nothing per event), and one batched
 /// [`scda_obs::TraceEvent::EngineBatch`] plus an `engine.events` counter
@@ -142,7 +135,7 @@ mod tests {
         let mut sim = Countdown { seen: vec![] };
         let mut sched = Scheduler::new();
         sched.at(0.0, Ev::Tick(3));
-        let n = run_to_completion(&mut sim, &mut sched);
+        let n = run_until(&mut sim, &mut sched, f64::INFINITY);
         assert_eq!(n, 4);
         assert_eq!(sim.seen, vec![(0.0, 3), (1.0, 2), (2.0, 1), (3.0, 0)]);
     }

@@ -298,13 +298,6 @@ impl FlowArena {
         &self.live
     }
 
-    /// Split mutable access to the progress and transport columns plus
-    /// the shared liveness flags — the shape the parallel tick apply
-    /// needs (chunked mutation of both columns, liveness read-only).
-    pub fn columns_mut(&mut self) -> (&mut [FlowProgress], &mut [AnyTransport], &[bool]) {
-        (&mut self.progress, &mut self.transports, &self.live)
-    }
-
     /// Mutable progress + transport access by slot (no id lookup).
     #[inline]
     pub fn entry_mut_slot(&mut self, slot: u32) -> (&mut FlowProgress, &mut AnyTransport) {
