@@ -3,12 +3,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 
-use scda_obs::Obs;
 use scda_simnet::builders::{clos, fat_tree, ThreeTierConfig};
 use scda_simnet::units::{mbps, SimTime};
-use scda_simnet::{
-    run_until, run_until_observed, EcmpRoutes, FlowId, Network, Scheduler, Simulation,
-};
+use scda_simnet::{run_until, EcmpRoutes, FlowId, Network, Scheduler, Simulation};
 
 fn bench_scheduler(c: &mut Criterion) {
     c.bench_function("scheduler/push_pop_10k", |b| {
@@ -46,11 +43,7 @@ impl Simulation for Ticker {
     }
 }
 
-/// The observability acceptance gate: draining through
-/// `run_until_observed` with a *disabled* handle must track plain
-/// `run_until` (the instrumented path costs one branch per drain, nothing
-/// per event). Compare the two `engine/drain_10k*` lines; they should be
-/// within noise (<5%).
+/// The engine's one drain entry point over 10 000 timer events.
 fn bench_engine_drain(c: &mut Criterion) {
     c.bench_function("engine/drain_10k", |b| {
         b.iter(|| {
@@ -58,16 +51,6 @@ fn bench_engine_drain(c: &mut Criterion) {
             let mut sched = Scheduler::new();
             sched.at(0.0, Tick::At(0));
             run_until(&mut sim, &mut sched, 10_000.0 * 1e-4);
-            sim.acc
-        })
-    });
-    c.bench_function("engine/drain_10k_observed_disabled", |b| {
-        let obs = Obs::disabled();
-        b.iter(|| {
-            let mut sim = Ticker { acc: 0 };
-            let mut sched = Scheduler::new();
-            sched.at(0.0, Tick::At(0));
-            run_until_observed(&mut sim, &mut sched, 10_000.0 * 1e-4, &obs);
             sim.acc
         })
     });

@@ -302,52 +302,37 @@ impl SimKernel {
             }
         }
 
-        // Flows the horizon cut off: still-active transfers plus setups
-        // that never opened.
-        if observing {
+        // Flows the horizon cut off — still-active transfers plus setups
+        // that never opened — traced as timed out and audited as shed
+        // spans, in one walk. Then close every open violation episode so
+        // each violation exports with a time-to-mitigation (censored at
+        // the horizon when unresolved).
+        if observing || auditing {
             let end = sc.duration;
-            let mut timed_out = 0u64;
-            for (id, _, _) in self.driver.active_flows() {
+            let active = self.driver.active_flows().map(|(id, _, _)| {
                 let remaining = self
                     .driver
                     .progress(id)
                     .map(|p| p.remaining())
                     .unwrap_or(0.0);
+                (id, ShedCause::Horizon, remaining)
+            });
+            let unopened = self
+                .starts
+                .iter()
+                .flatten()
+                .map(|p| (p.id, ShedCause::NeverOpened, p.size));
+            let mut timed_out = 0u64;
+            for (id, cause, remaining) in active.chain(unopened) {
                 acct.obs().emit(TraceEvent::FlowTimedOut {
                     now: end,
                     flow: id.0,
                     remaining_bytes: remaining,
                 });
-                timed_out += 1;
-            }
-            for p in self.starts.iter().flatten() {
-                acct.obs().emit(TraceEvent::FlowTimedOut {
-                    now: end,
-                    flow: p.id.0,
-                    remaining_bytes: p.size,
-                });
+                acct.audit().shed(end, id.0, cause, remaining);
                 timed_out += 1;
             }
             acct.obs().counter_add(metric::FLOW_TIMED_OUT, timed_out);
-        }
-
-        // Audit the same horizon cut-off as shed spans, then close every
-        // open violation episode so each violation exports with a
-        // time-to-mitigation (censored at the horizon when unresolved).
-        if auditing {
-            let end = sc.duration;
-            for (id, _, _) in self.driver.active_flows() {
-                let remaining = self
-                    .driver
-                    .progress(id)
-                    .map(|p| p.remaining())
-                    .unwrap_or(0.0);
-                acct.audit().shed(end, id.0, ShedCause::Horizon, remaining);
-            }
-            for p in self.starts.iter().flatten() {
-                acct.audit()
-                    .shed(end, p.id.0, ShedCause::NeverOpened, p.size);
-            }
             acct.audit().finalize(end);
         }
 

@@ -367,6 +367,63 @@ mod tests {
         assert!(r.control_rounds > 0);
     }
 
+    /// `BestRatePlacement` counting its `place` calls; `forward` decides
+    /// whether it reports the wrapped policy's index compatibility or
+    /// forces the per-admission oracle path.
+    struct CountingPlacement {
+        calls: usize,
+        forward: bool,
+    }
+
+    impl Placement for CountingPlacement {
+        fn place(&mut self, ctx: &PlacementCtx<'_>) -> Option<(NodeId, f64)> {
+            self.calls += 1;
+            BestRatePlacement.place(ctx)
+        }
+
+        fn index_compatible(&self) -> bool {
+            self.forward && BestRatePlacement.index_compatible()
+        }
+    }
+
+    #[test]
+    fn observed_admission_takes_the_index_path() {
+        // Observation never picks the placement path: an observed run
+        // answers an index-compatible policy from the placement index
+        // (its `place` never runs), and forcing the oracle path yields
+        // the same run and the same traced decisions, candidate lists
+        // included.
+        let sc = tiny_video(true);
+        let run = |forward: bool| {
+            let obs = Obs::enabled();
+            let opts = ScdaOptions {
+                obs: obs.clone(),
+                ..Default::default()
+            };
+            let mut placement = CountingPlacement { calls: 0, forward };
+            let r = run_scda_with(&sc, &opts, &mut placement, &mut ExplicitRateTransport);
+            let trace = obs.trace_jsonl().expect("enabled handle has a trace");
+            let selected: Vec<String> = trace
+                .lines()
+                .filter(|l| l.contains("\"event\":\"server_selected\""))
+                .map(String::from)
+                .collect();
+            (r, placement.calls, selected)
+        };
+        let (mut indexed, indexed_calls, indexed_selected) = run(true);
+        let (mut oracle, oracle_calls, oracle_selected) = run(false);
+        assert_eq!(indexed_calls, 0, "observed run left the index path");
+        assert!(oracle_calls > 0, "the oracle path must call `place`");
+        assert!(indexed.completed > 0);
+        // Profiles hold wall-clock times; everything else must match bit
+        // for bit (`{:?}` prints each f64 in its shortest round-trip form).
+        indexed.profile = None;
+        oracle.profile = None;
+        assert_eq!(format!("{indexed:?}"), format!("{oracle:?}"));
+        assert!(!indexed_selected.is_empty());
+        assert_eq!(indexed_selected, oracle_selected);
+    }
+
     #[test]
     fn observed_run_matches_unobserved_and_reports_everything() {
         let sc = tiny_video(false);

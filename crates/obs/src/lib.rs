@@ -3,9 +3,9 @@
 //! §I of the paper: "All the aggregated and monitored traffic metrics can
 //! be offloaded to an external server for off-line diagnosis, analysis and
 //! data mining of the distributed system." This crate is that offload
-//! path for the *reproduction itself*: every layer — simulation engine,
-//! transport driver, RM/RA control tree, experiment runner — carries a
-//! cheap cloneable [`Obs`] handle and reports into three sinks:
+//! path for the *reproduction itself*: every layer above the event
+//! engine — transport driver, RM/RA control tree, experiment runner —
+//! carries a cheap cloneable [`Obs`] handle and reports into three sinks:
 //!
 //! * a bounded-ring [`Tracer`] of typed [`TraceEvent`]s with JSON Lines
 //!   export (flow lifecycle, control rounds, rate propagation, server
@@ -42,13 +42,19 @@ pub mod phase {
     pub const CONTROL: &str = "kernel.control";
     /// Transport-drive stage: one fluid tick plus completion accounting.
     pub const TICK: &str = "kernel.tick";
-    /// Placement query: one server pick against the incremental
-    /// placement index (or its fresh-`Selector` oracle fallback).
+    /// Placement query: one server pick, timed around whichever path
+    /// answered it — the incremental placement index, or
+    /// `Placement::place` over the discounted metrics snapshot for
+    /// power-aware and custom policies. The handle never chooses the
+    /// path, and the traced candidate list is built outside this phase.
     pub const PLACE: &str = "kernel.place";
     /// Route resolution: shortest-path handle lookup / interning for a
     /// (src, dst) pair in the routing cache.
     pub const ROUTE: &str = "sim.route";
-    /// Event-engine drain: the scheduler batch run up to a deadline.
+    /// Event-engine drain: the scheduler batch run up to a deadline
+    /// (`scda_simnet::run_until`; callers time it with
+    /// [`Obs::time_phase`](crate::Obs::time_phase), the engine itself
+    /// carries no handle).
     pub const ENGINE_DRAIN: &str = "engine.drain";
     /// Incremental max-min re-level: the fluid solver's dirty-component
     /// waterfill pass (`IncrementalMaxMin::solve`).
@@ -74,8 +80,6 @@ pub mod metric {
     pub const FLOW_FCT_S: &str = "flow.fct_s";
     /// Gauge: flows currently active in the data plane.
     pub const FLOWS_ACTIVE: &str = "flows.active";
-    /// Counter: events dispatched by the simulation engine.
-    pub const ENGINE_EVENTS: &str = "engine.events";
     /// Counter: control rounds executed.
     pub const CTRL_ROUNDS: &str = "ctrl.rounds";
     /// Counter: SLA violations detected by the control tree.

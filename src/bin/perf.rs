@@ -31,7 +31,8 @@
 //!   rebuild-and-scan path, asserting bit-identical picks and reporting
 //!   both arms' admission throughput plus their gated speedup ratio;
 //! * `engine_drain_10k` — scheduler drain of 10 000 self-rescheduling
-//!   timer events through `run_until_audited`, mirroring
+//!   timer events through `run_until` (the engine's only drain entry
+//!   point), each drain timed as `engine.drain`, mirroring
 //!   `benches/engine.rs`;
 //! * `fig7_e2e_quick` — the figure-7 video-trace SCDA run end-to-end
 //!   with observability, audit, and mitigation enabled, reporting
@@ -62,7 +63,7 @@ use scda_experiments::{run_scda, Scale, ScdaOptions, Scenario};
 use scda_obs::{phase, Obs};
 use scda_simnet::builders::ThreeTierConfig;
 use scda_simnet::units::SimTime;
-use scda_simnet::{run_until_audited, FlowId, LinkId, Network, NodeId, Scheduler, Simulation};
+use scda_simnet::{run_until, FlowId, LinkId, Network, NodeId, Scheduler, Simulation};
 use scda_transport::{AnyTransport, FlowDriver, ScdaWindow};
 
 fn usage() -> ! {
@@ -759,14 +760,15 @@ impl Simulation for Ticker {
 
 fn bench_engine_drain(reps: u64) -> ScenarioResult {
     let obs = Obs::enabled();
-    let audit = Audit::enabled();
     let mut events = 0u64;
     let t0 = Instant::now();
     for _ in 0..reps {
         let mut sim = Ticker { acc: 0 };
         let mut sched = Scheduler::new();
         sched.at(0.0, Tick::At(0));
-        events += run_until_audited(&mut sim, &mut sched, 10_000.0 * 1e-4, &obs, &audit);
+        events += obs.time_phase(phase::ENGINE_DRAIN, || {
+            run_until(&mut sim, &mut sched, 10_000.0 * 1e-4)
+        });
         std::hint::black_box(sim.acc);
     }
     let wall_s = t0.elapsed().as_secs_f64();
